@@ -309,13 +309,11 @@ def build_deployment(regions: Sequence[str],
                      providers: Optional[dict[str, Iterable[str]]] = None,
                      seed: int = 0,
                      wiera_region: str = US_EAST,
-                     server_vm: str = "aws.t2_micro",
                      topology: Optional[Topology] = None,
                      with_ledger: bool = False,
                      heartbeat_interval: float = 5.0,
                      with_tracing: bool = False,
                      shards: int = 1,
-                     chunk_bytes: float = 0.0,
                      servers_per_region: int = 1,
                      autoscale: Optional[AutoscaleSpec] = None,
                      redundancy: Optional[RedundancySpec] = None,
@@ -332,9 +330,6 @@ def build_deployment(regions: Sequence[str],
     ``shards`` sets the default partition count used by
     :meth:`Deployment.start_sharded_instance`; the default of 1 keeps
     every deployment unsharded and bit-identical to pre-shard behavior.
-    ``chunk_bytes`` enables chunked WAN transfers (see
-    :meth:`repro.net.network.Network.transmit`); 0 keeps transfers as a
-    single indivisible egress reservation.
     ``servers_per_region`` stands up N Tiera servers (N hosts, N egress
     links) per (region, provider) instead of one, so shard placements
     spread across real capacity — the TSM picks the least-loaded server
@@ -363,7 +358,7 @@ def build_deployment(regions: Sequence[str],
     obs = get_obs(sim)
     if with_tracing:
         obs.enable_tracing()
-    network = Network(sim, topology, chunk_bytes=chunk_bytes)
+    network = Network(sim, topology)
     rng = RngRegistry(seed)
     ledger = CostLedger(sim) if with_ledger else None
     network.ledger = ledger
@@ -379,7 +374,6 @@ def build_deployment(regions: Sequence[str],
     server_seq = 0
     for region in regions:
         for provider in (providers or {}).get(region, ("aws",)):
-            vm = server_vm
             for i in range(servers_per_region):
                 # The first server keeps the historical host name and
                 # (region, provider) key, so servers_per_region=1 is
@@ -387,7 +381,7 @@ def build_deployment(regions: Sequence[str],
                 suffix = "" if i == 0 else f"-{i}"
                 host = network.add_host(
                     f"tsrv-host-{region}-{provider}{suffix}",
-                    region, provider, vm)
+                    region, provider, "aws.t2_micro")
                 # Deployment-scoped ids reproducing the historical
                 # first-build-in-process numbering: two identical builds
                 # (in one process or in forked workers) get identical

@@ -125,7 +125,7 @@ class ECProtocol(GlobalProtocol):
         if self.spec.repair_interval is not None:
             repairer = self._repairer_cls(
                 instance, self, self.spec.repair_interval,
-                concurrency=getattr(self.spec, "repair_concurrency", 1))
+                concurrency=self.spec.repair_concurrency)
             self._repairers[instance.instance_id] = repairer
             repairer.start()
 

@@ -17,30 +17,22 @@ Rebuilt fragments ship with a *bumped* ``last_modified``: the restarted
 holder still has the old version's metadata, and last-write-wins would
 reject a same-version push that is not strictly newer.
 
-Two execution strategies share the scan/leadership/repair logic:
-
-``repair_concurrency = 1`` (default)
-    The original strictly serial walk — one object fully probed,
-    gathered, decoded, and pushed before the next begins.  This path is
-    golden-pinned (``tests/golden/ec_repair_serial.json``): it must stay
-    bit-identical to the seed repairer, event for event.
-
-``repair_concurrency = W > 1``
-    A bounded-concurrency pipeline.  Each round probes every peer once
-    (in parallel), batches all ``check_readable`` items per holder into
-    a single ``call_batch`` envelope, then drives a window of up to
-    ``W`` in-flight object repairs via ``AnyOf`` completion.  Instead of
-    pulling ``k`` whole fragments to the leader and pushing the rebuilt
-    one back, the leader dispatches a ``reconstruct_fragment`` RPC to
-    the target holder, which pulls only the fragments *it* is missing
-    and installs the result locally (the codec's target-row
-    :meth:`~repro.ec.codec.Codec.rebuild` fast path).  Manifest changes
-    are broadcast as per-round batched ``manifest_remap`` deltas rather
-    than one full manifest per object per peer.
+Each round runs as a bounded-concurrency pipeline.  It probes every
+peer once (in parallel), batches all ``check_readable`` items per holder
+into a single ``call_batch`` envelope, then drives a window of up to
+``W = repair_concurrency`` in-flight object repairs via ``AnyOf``
+completion (``W = 1`` repairs one object at a time).  Instead of pulling
+``k`` whole fragments to the leader and pushing the rebuilt one back,
+the leader dispatches a ``reconstruct_fragment`` RPC to the target
+holder, which pulls only the fragments *it* is missing and installs the
+result locally (the codec's target-row
+:meth:`~repro.ec.codec.Codec.rebuild` fast path).  Manifest changes are
+broadcast as per-round batched ``manifest_remap`` deltas rather than one
+full manifest per object per peer.
 
 A version bump racing the repair must never resurrect the stale
-version's fragments: both paths re-check the manifest's latest version
-(a pure metadata lookup) before every install and give up with
+version's fragments: the leader re-checks the manifest's latest version
+(a pure metadata lookup) before every install and gives up with
 ``ec.repair_superseded`` when the object moved on, and the
 ``reconstruct_fragment`` handler refuses on the target side as well.
 """
@@ -120,6 +112,8 @@ class ECRepairer:
 
     # ------------------------------------------------------------------
     def repair_round(self) -> Generator:
+        if self.instance.host.down:
+            return  # a crashed host runs nothing until it recovers
         self.rounds += 1
         self._m_rounds.inc()
         span = (self._tracer.span("ec:repair_round", cat="ec",
@@ -127,10 +121,7 @@ class ECRepairer:
                 if self._tracer.enabled else NULL_SPAN)
         start = self.instance.sim.now
         with span:
-            if self.concurrency <= 1:
-                yield from self._round_serial()
-            else:
-                yield from self._round_pipelined()
+            yield from self._round_pipelined()
         self._h_round.observe(self.instance.sim.now - start)
 
     def _superseded(self, key: str, version: int) -> bool:
@@ -163,61 +154,6 @@ class ECRepairer:
             found.append((key, vmeta, manifest))
         return found
 
-    # ------------------------------------------------------------------
-    # Serial strategy (seed behaviour, golden-pinned)
-    # ------------------------------------------------------------------
-    def _round_serial(self) -> Generator:
-        # NOTE: the manifest read and the repair are interleaved per
-        # object, exactly like the seed repairer — scanning everything
-        # up front would reorder network sends and break the golden pin.
-        instance = self.instance
-        alive: dict[str, bool] = {instance.instance_id: True}
-        ring = self.protocol.ring(instance)
-        for record in list(instance.meta.records()):
-            key = record.key
-            if is_fragment_key(key):
-                continue
-            meta = record.latest()
-            if meta is None:
-                continue
-            try:
-                data, vmeta, _ = yield from instance.read_version(
-                    key, run_rules=False)
-            except ObjectMissingError:
-                continue  # unreadable manifest: the get-path fallback heals it
-            manifest = decode_manifest(data)
-            if manifest is None:
-                continue
-            span = (self._tracer.span("ec:repair_object", cat="ec",
-                                      component=instance.instance_id,
-                                      key=key)
-                    if self._tracer.enabled else NULL_SPAN)
-            start = instance.sim.now
-            try:
-                with span:
-                    yield from self._repair_object(key, vmeta, manifest,
-                                                   alive, ring)
-            except Exception:
-                # One stubborn object must not starve the rest of the round.
-                self._m_errors.inc()
-            self._h_object.observe(instance.sim.now - start)
-
-    def _is_alive(self, iid: str, alive: dict[str, bool]) -> Generator:
-        cached = alive.get(iid)
-        if cached is not None:
-            return cached
-            yield  # pragma: no cover
-        peer = self.instance.peers.get(iid)
-        if peer is None:
-            alive[iid] = False
-            return False
-        try:
-            yield self.instance.node.call(peer.node, "probe", {})
-            alive[iid] = True
-        except Exception:
-            alive[iid] = False
-        return alive[iid]
-
     def _local_readable(self, key: str, version: int) -> bool:
         instance = self.instance
         record = instance.meta.get_record(key)
@@ -228,186 +164,8 @@ class ECRepairer:
         return any(skey in instance.tiers[t]
                    for t in meta.locations if t in instance.tiers)
 
-    def _repair_object(self, key: str, vmeta, manifest: dict,
-                       alive: dict[str, bool], ring: list) -> Generator:
-        instance = self.instance
-        k, m, size = manifest["k"], manifest["m"], manifest["size"]
-        n = k + m
-        version = vmeta.version
-        frag_map = dict(manifest["frags"])
-        if self._superseded(key, version):
-            self._m_superseded.inc()
-            return
-
-        # Leadership: the first *alive* holder in fragment-index order
-        # repairs; everyone else skips this object this round.
-        for idx in sorted(frag_map):
-            holder = frag_map[idx]
-            if holder == instance.instance_id:
-                break
-            holder_alive = yield from self._is_alive(holder, alive)
-            if holder_alive:
-                return  # an earlier holder is up — it leads
-        else:
-            return  # we hold no fragment of this object
-
-        # Which slots are broken?  A slot is broken when it is unmapped,
-        # its holder is down, or the holder no longer has readable bytes.
-        missing: list[int] = []
-        remote_checks: dict[str, list[int]] = {}
-        for idx in range(n):
-            holder = frag_map.get(idx)
-            if holder == instance.instance_id:
-                if not self._local_readable(fragment_key(key, idx), version):
-                    missing.append(idx)
-            elif holder is None:
-                missing.append(idx)
-            else:
-                holder_alive = yield from self._is_alive(holder, alive)
-                if holder_alive:
-                    remote_checks.setdefault(holder, []).append(idx)
-                else:
-                    missing.append(idx)
-        for holder, idxs in sorted(remote_checks.items()):
-            peer = instance.peers[holder]
-            items = [(fragment_key(key, idx), version) for idx in idxs]
-            try:
-                res = yield instance.node.call(peer.node, "check_readable",
-                                               {"items": items})
-            except Exception:
-                missing.extend(idxs)
-                continue
-            gone = set(res["missing"])
-            missing.extend(idx for idx in idxs
-                           if fragment_key(key, idx) in gone)
-        if not missing:
-            return
-        missing.sort()
-
-        # Gather k readable fragments (nearest-first via the put ring) and
-        # reconstruct the payload.
-        available: dict[int, bytes] = {}
-        order = sorted(
-            (idx for idx in frag_map if idx not in missing),
-            key=lambda idx: (0 if frag_map[idx] == instance.instance_id
-                             else 1, idx))
-        for idx in order:
-            if len(available) >= k:
-                break
-            holder = frag_map[idx]
-            fkey = fragment_key(key, idx)
-            if holder == instance.instance_id:
-                try:
-                    frag, _, _ = yield from instance.read_version(
-                        fkey, version, run_rules=False)
-                    available[idx] = frag
-                except Exception:
-                    continue
-            else:
-                peer = instance.peers.get(holder)
-                if peer is None:
-                    continue
-                try:
-                    res = yield instance.node.call(
-                        peer.node, "peer_get",
-                        {"key": fkey, "version": version},
-                        reply_size=Codec.fragment_length(size, k) + 512)
-                    available[idx] = res["data"]
-                    self._m_bytes.inc(len(res["data"]))
-                except Exception:
-                    continue
-        if len(available) < k:
-            self._m_unrepairable.inc()
-            return  # unrepairable this round; try again next interval
-        data = Codec.decode(available, k, n, size)
-        fragments = Codec.encode(data, k, n)
-        if self._superseded(key, version):
-            self._m_superseded.inc()
-            return
-
-        # Re-home each missing fragment: original holder if alive, else the
-        # nearest live instance not already holding one.
-        lm = instance.sim.now  # bumped so LWW accepts the reinstall
-        used = set(frag_map.values())
-        spares = deque((iid, peer) for iid, peer in ring
-                       if iid not in used)
-        remap = False
-        for idx in missing:
-            holder = frag_map.get(idx)
-            target, peer = None, None
-            if holder is not None:
-                holder_alive = yield from self._is_alive(holder, alive)
-                if holder_alive:
-                    target, peer = holder, instance.peers.get(holder)
-            while target is None and spares:
-                iid, spare_peer = spares.popleft()
-                spare_alive = yield from self._is_alive(iid, alive)
-                if spare_alive:
-                    target, peer = iid, spare_peer
-            if target is None:
-                self._m_push_failed.inc()
-                continue
-            if self._superseded(key, version):
-                self._m_superseded.inc()
-                return
-            fkey = fragment_key(key, idx)
-            if target == instance.instance_id:
-                record = instance.meta.get_record(fkey)
-                if record is not None and record.has_version(version):
-                    yield from instance.purge_version(fkey, version)
-                yield from instance.local_put(
-                    fkey, fragments[idx], version=version,
-                    origin=instance.instance_id, last_modified=lm)
-            else:
-                args = {"key": fkey, "version": version,
-                        "last_modified": lm,
-                        "origin": instance.instance_id,
-                        "data": fragments[idx]}
-                try:
-                    results = yield instance.node.call_batch(
-                        peer.node,
-                        [("replica_update", args,
-                          len(fragments[idx]) + 512)])
-                except Exception:
-                    self._m_push_failed.inc()
-                    continue
-                if not results[0].get("ok"):
-                    self._m_push_failed.inc()
-                    continue
-                self._m_bytes.inc(len(fragments[idx]))
-            if frag_map.get(idx) != target:
-                frag_map[idx] = target
-                remap = True
-            used.add(target)
-            self.fragments_rebuilt += 1
-            self._m_rebuilt.inc()
-
-        if remap:
-            if self._superseded(key, version):
-                self._m_superseded.inc()
-                return
-            manifest_bytes = encode_manifest(k, m, size, frag_map)
-            yield from instance.purge_version(key, version)
-            yield from instance.local_put(key, manifest_bytes,
-                                          version=version,
-                                          origin=instance.instance_id,
-                                          last_modified=lm)
-            margs = {"key": key, "version": version, "last_modified": lm,
-                     "origin": instance.instance_id, "data": manifest_bytes}
-            for iid, peer in ring[1:]:
-                peer_alive = yield from self._is_alive(iid, alive)
-                if not peer_alive:
-                    continue
-                try:
-                    yield instance.node.call_batch(
-                        peer.node, [("replica_update", margs,
-                                     len(manifest_bytes) + 512)])
-                    self._m_bytes.inc(len(manifest_bytes))
-                except Exception:
-                    pass
-
     # ------------------------------------------------------------------
-    # Pipelined strategy (repair_concurrency > 1)
+    # Repair pipeline
     # ------------------------------------------------------------------
     def _round_pipelined(self) -> Generator:
         instance = self.instance

@@ -9,32 +9,10 @@ throttles (Figs. 11-12) behave realistically.
 
 from __future__ import annotations
 
-from typing import Generator, Iterator
+from typing import Generator
 
 from repro.sim.kernel import Simulator
 from repro.sim.primitives import Resource
-
-
-def iter_chunks(nbytes: int, chunk_bytes: float) -> Iterator[int]:
-    """Split ``nbytes`` into successive chunk sizes of at most
-    ``chunk_bytes`` (the last chunk carries the remainder).
-
-    ``chunk_bytes <= 0`` means no chunking: the whole payload is one
-    piece.  Used by :meth:`repro.net.network.Network.transmit` so a large
-    transfer serializes through the egress link as several short
-    reservations instead of one indivisible one — foreground traffic can
-    interleave between chunks, and a mid-transfer failure has only the
-    undelivered chunks left in flight.
-    """
-    if chunk_bytes <= 0 or nbytes <= chunk_bytes:
-        yield nbytes
-        return
-    step = int(chunk_bytes)
-    sent = 0
-    while sent < nbytes:
-        piece = min(step, nbytes - sent)
-        yield piece
-        sent += piece
 
 
 class BandwidthLink:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Generator, Optional
 
-from repro.net.link import BandwidthLink, iter_chunks
+from repro.net.link import BandwidthLink
 from repro.net.topology import Topology
 from repro.net.vmprofiles import VmProfile, get_profile
 from repro.obs.api import get_obs
@@ -68,13 +68,9 @@ class Host:
 class Network:
     """Topology + hosts + dynamics; produces transfer generators."""
 
-    def __init__(self, sim: Simulator, topology: Optional[Topology] = None,
-                 chunk_bytes: float = 0.0):
+    def __init__(self, sim: Simulator, topology: Optional[Topology] = None):
         self.sim = sim
         self.topology = topology or Topology()
-        #: transfers above this size serialize through the egress link in
-        #: chunks of this many bytes (0 = off: one indivisible reservation)
-        self.chunk_bytes = chunk_bytes
         self.hosts: dict[str, Host] = {}
         self._host_injections: dict[str, list[_Injection]] = {}
         self._pair_injections: dict[frozenset[str], list[_Injection]] = {}
@@ -94,7 +90,6 @@ class Network:
         self._obs = get_obs(sim)
         self._msg_counter = self._obs.metrics.counter("net.messages")
         self._bytes_counter = self._obs.metrics.counter("net.bytes")
-        self._chunk_counter = self._obs.metrics.counter("net.chunks")
 
     # -- host management ----------------------------------------------------
     def add_host(self, name: str, region: str, provider: str = "aws",
@@ -213,13 +208,6 @@ class Network:
 
         Raises :class:`NetworkError`/:class:`HostDownError` if the
         destination is unreachable at send time.
-
-        With ``chunk_bytes`` set, a transfer above that size serializes
-        through the egress link as several short reservations instead of
-        one indivisible one: foreground traffic interleaves between
-        chunks, and a crash or partition mid-transfer aborts with only
-        the undelivered chunks outstanding (reachability is re-checked
-        between chunks).
         """
         tracer = self._obs.tracer
         span = (tracer.span("net:transmit", cat="net", component=src.name,
@@ -252,24 +240,10 @@ class Network:
         self._msg_counter.inc()
         self._bytes_counter.inc(nbytes)
         if self.ledger is not None and src is not dst:
-            # Billed once per transfer, before the chunk loop: egress
-            # dollars are identical with chunking on or off.
             scope = ("intra_dc" if src.region == dst.region
                      else "inter_region")
             self.ledger.record_network(nbytes, scope)
         if src is dst:
             return 0.0
-        chunk = self.chunk_bytes
-        if chunk > 0 and nbytes > chunk:
-            first = True
-            for piece in iter_chunks(nbytes, chunk):
-                if not first:
-                    # The link was released between chunks: the
-                    # world may have changed under the transfer.
-                    self.check_reachable(src, dst)
-                first = False
-                yield from src.egress.transmit(piece)
-                self._chunk_counter.inc()
-        else:
-            yield from src.egress.transmit(nbytes)
+        yield from src.egress.transmit(nbytes)
         return self.oneway_latency(src, dst)

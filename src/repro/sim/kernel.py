@@ -50,11 +50,10 @@ Allocation diet, in rough order of impact:
 * every kernel object carries ``__slots__``, and processes pre-bind their
   generator's ``send``/``throw`` and their own ``_resume``.
 
-The generator-stepping core lives in three deliberately duplicated
-copies — :meth:`Process._resume` (a waited-on event fired),
-:meth:`Process._advance` (the single-step :meth:`Simulator.step` API), and
-inline in :meth:`Simulator._drain` (deferred resumes) — because on this
-path one CPython method call per event is measurable.  Keep them in sync;
+The generator-stepping core lives in two deliberately duplicated
+copies — :meth:`Process._resume` (a waited-on event fired) and inline in
+:meth:`Simulator._drain` (deferred resumes) — because on this path one
+CPython method call per event is measurable.  Keep them in sync;
 ``tests/test_kernel_golden.py`` pins the observable behavior bit-for-bit.
 """
 
@@ -346,7 +345,7 @@ class Process(Event):
             self._finish(False, err)
 
     def _resume(self, event: Event) -> None:
-        # Generator-stepping core, copy 1 of 3 (see module docstring).
+        # Generator-stepping core, copy 1 of 2 (see module docstring).
         if self._target is not event:
             return  # tombstone: detached by interrupt() before event fired
         self._target = None
@@ -371,56 +370,6 @@ class Process(Event):
             if target._processed:
                 # Already processed: resume with its value on the next
                 # round, without allocating a poke event.
-                if not target._ok:
-                    target._defused = True
-                pool = sim._dpool
-                if pool:
-                    d = pool.pop()
-                    d.proc = self
-                    d.ok = target._ok
-                    d.value = target._value
-                    d._qseq = sim._seq
-                else:
-                    d = _Deferred(self, target._ok, target._value, sim._seq)
-                sim._seq += 1
-                sim._runq.append(d)
-            elif target._waiter is None:
-                target._waiter = self._on_fire
-                self._target = target
-            else:
-                tcbs = target.callbacks
-                if tcbs is None:
-                    target.callbacks = [self._on_fire]
-                else:
-                    tcbs.append(self._on_fire)
-                self._target = target
-        except AttributeError:
-            self._yield_error(target)
-
-    def _advance(self, ok: bool, value: Any) -> None:
-        """Step the generator once with an outcome and re-subscribe.
-
-        Generator-stepping core, copy 2 of 3 — kept as a method for the
-        single-step :meth:`Simulator.step` API (deferred-resume dispatch).
-        """
-        sim = self.sim
-        sim._active_process = self
-        try:
-            if ok:
-                target = self._send(value)
-            else:
-                target = self._throw(value)
-        except StopIteration as stop:
-            sim._active_process = None
-            self._finish(True, stop.value)
-            return
-        except BaseException as exc:
-            sim._active_process = None
-            self._finish(False, exc)
-            return
-        sim._active_process = None
-        try:
-            if target._processed:
                 if not target._ok:
                     target._defused = True
                 pool = sim._dpool
@@ -630,60 +579,15 @@ class Simulator:
             return self._now
         return self._heap[0][0] if self._heap else _INF
 
-    def _dispatch(self, event: Event) -> None:
-        """Mark ``event`` processed and run its subscribers, then check
-        for unhandled failure.  Shared by step(); _drain inlines it."""
-        self.events_processed += 1
-        event._processed = True
-        waiter = event._waiter
-        if waiter is not None:
-            event._waiter = None
-            waiter(event)
-        callbacks = event.callbacks
-        if callbacks is not None:
-            event.callbacks = None
-            for callback in callbacks:
-                callback(event)
-        if not event._ok and not event._defused:
-            exc = event._value
-            if isinstance(exc, BaseException):
-                raise exc
-            raise SimulationError(f"unhandled event failure: {exc!r}")
-
-    def step(self) -> None:
-        """Process exactly one event (single-step API; ``run`` is faster)."""
-        self._prune()
-        runq = self._runq
-        heap = self._heap
-        if runq:
-            item = runq[0]
-            # Run-queue entries are all stamped (now, seq): a heap event
-            # preempts only on an equal timestamp with an older seq.
-            if heap and heap[0][0] == self._now and heap[0][1] < item._qseq:
-                event = heapq.heappop(heap)[2]
-            else:
-                runq.popleft()
-                if item.__class__ is _Deferred:
-                    self.events_processed += 1
-                    item.proc._advance(item.ok, item.value)
-                    return
-                event = item
-        elif heap:
-            when, _, event = heapq.heappop(heap)
-            self._now = when
-        else:
-            raise SimulationError("step() on an empty schedule")
-        self._dispatch(event)
-
     def _drain(self, deadline: Optional[float],
                sentinel: Optional[Event]) -> None:
         """The hot loop behind :meth:`run`: inline choose/advance/dispatch.
 
         Stops when ``sentinel`` is processed (if given), when the next
         heap event lies beyond ``deadline`` (if given) with the run queue
-        empty, or when the whole schedule drains.  Processing order and
-        ``events_processed`` accounting are exactly those of repeated
-        :meth:`step` calls.
+        empty, or when the whole schedule drains.  Events are processed
+        in ascending ``(time, seq)`` order, each counted once in
+        ``events_processed``.
         """
         heappop = heapq.heappop
         heappush = heapq.heappush
@@ -714,8 +618,8 @@ class Simulator:
                     else:
                         runq.popleft()
                         if item.__class__ is _Deferred:
-                            # Generator-stepping core, copy 3 of 3 (see
-                            # module docstring; mirror of _advance).
+                            # Generator-stepping core, copy 2 of 2 (see
+                            # module docstring; mirror of _resume).
                             count += 1
                             proc = item.proc
                             ok = item.ok
@@ -784,7 +688,7 @@ class Simulator:
                         raise SimulationError(
                             "schedule drained before the awaited event fired")
                     return
-                # Inline _dispatch.
+                # Dispatch: mark processed, run subscribers.
                 count += 1
                 event._processed = True
                 waiter = event._waiter

@@ -117,33 +117,6 @@ class TestLedger:
         dep.sim.run(until=dep.sim.now + 5)
         assert dep.ledger.network_dollars() > 0
 
-    def test_chunked_egress_parity(self):
-        """Satellite: WAN chunking is a scheduling knob, not a billing one
-        — egress dollars must be identical with chunking on or off."""
-        def egress(chunk_bytes):
-            dep = build_deployment([US_EAST, US_WEST], with_ledger=True,
-                                   seed=5, chunk_bytes=chunk_bytes)
-            spec = GlobalPolicySpec(
-                name="bill",
-                placements=(RegionPlacement(US_EAST, memory_only_policy()),
-                            RegionPlacement(US_WEST, memory_only_policy())),
-                consistency="eventual")
-            instances = dep.start_wiera_instance("bill", spec)
-            client = dep.add_client(US_EAST, instances=instances)
-
-            def app():
-                for i in range(4):
-                    yield from client.put(f"k{i}", b"x" * 65536)
-                    yield from client.get(f"k{i}")
-            dep.drive(app())
-            dep.sim.run(until=dep.sim.now + 5)
-            return dep.ledger.network_dollars()
-
-        unchunked = egress(0.0)
-        chunked = egress(8192)
-        assert unchunked > 0
-        assert chunked == pytest.approx(unchunked)
-
     def test_migration_lowers_bill(self, sim):
         """Moving bytes SSD -> S3-IA mid-period reduces the ongoing rate."""
         ledger = CostLedger(sim)

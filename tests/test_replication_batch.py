@@ -1,5 +1,5 @@
-"""Batched data plane: batch RPCs, per-peer queue batching, chunked
-transfers, and the batching-off bit-identical contract.
+"""Batched data plane: batch RPCs, per-peer queue batching, and the
+batching-off bit-identical contract.
 
 The batch plane is strictly opt-in (``batch_bytes=0`` keeps every code
 path bit-identical to the unbatched plane — pinned by the kernel golden
@@ -12,8 +12,7 @@ import pytest
 from repro import GlobalPolicySpec, RegionPlacement, build_deployment
 from repro.core.consistency import ProtocolError, ReplicationQueue
 from repro.net import EU_WEST, US_EAST, US_WEST
-from repro.net.link import iter_chunks
-from repro.net.network import HostDownError, NetworkError
+from repro.net.network import HostDownError
 from repro.tiera.policy import memory_only_policy
 
 REGIONS = (US_EAST, US_WEST, EU_WEST)
@@ -373,81 +372,6 @@ class TestBatchingOffIsSeedPath:
         _, off_digest, _, _ = self._run(batch_bytes=0.0)
         _, on_digest, _, _ = self._run(batch_bytes=1.0)
         assert on_digest == off_digest
-
-
-class TestChunkedTransfers:
-    def test_iter_chunks(self):
-        assert list(iter_chunks(10, 4)) == [4, 4, 2]
-        assert list(iter_chunks(10, 0)) == [10]
-        assert list(iter_chunks(3, 4)) == [3]
-        assert list(iter_chunks(8, 4)) == [4, 4]
-
-    def test_large_transfer_chunks_and_counts(self):
-        dep = build_deployment((US_EAST, US_WEST), seed=1,
-                               chunk_bytes=400.0)
-        net = dep.network
-        src = net.host(f"tsrv-host-{US_EAST}-aws")
-        dst = net.host(f"tsrv-host-{US_WEST}-aws")
-        before = net.messages_sent
-
-        def go():
-            yield from net.transmit(src, dst, 1000)
-        dep.drive(go())
-        assert dep.metric_total("net.chunks") == 3   # 400 + 400 + 200
-        assert net.messages_sent - before == 1       # still one message
-
-    def test_small_transfer_is_not_chunked(self):
-        dep = build_deployment((US_EAST, US_WEST), seed=1,
-                               chunk_bytes=400.0)
-        net = dep.network
-        src = net.host(f"tsrv-host-{US_EAST}-aws")
-        dst = net.host(f"tsrv-host-{US_WEST}-aws")
-
-        def go():
-            yield from net.transmit(src, dst, 300)
-        dep.drive(go())
-        assert dep.metric_total("net.chunks") == 0
-
-    def test_partition_mid_transfer_aborts_between_chunks(self):
-        dep = build_deployment((US_EAST, US_WEST), seed=1,
-                               chunk_bytes=1_000_000.0)
-        net = dep.network
-        src = net.host(f"tsrv-host-{US_EAST}-aws")
-        dst = net.host(f"tsrv-host-{US_WEST}-aws")
-
-        # t2.micro egress is ~31 MB/s: a 10 MB transfer takes ~0.32 s in
-        # ~0.032 s chunks, so a partition at 0.05 s lands mid-transfer.
-        def go():
-            def cut():
-                yield dep.sim.timeout(0.05)
-                net.partition(US_EAST, US_WEST)
-            dep.sim.process(cut(), name="cut")
-            yield from net.transmit(src, dst, 10_000_000)
-        with pytest.raises(NetworkError):
-            dep.drive(go())
-
-    def test_foreground_traffic_interleaves_between_chunks(self):
-        dep = build_deployment((US_EAST, US_WEST), seed=1,
-                               chunk_bytes=1_000_000.0)
-        net = dep.network
-        src = net.host(f"tsrv-host-{US_EAST}-aws")
-        dst = net.host(f"tsrv-host-{US_WEST}-aws")
-        done = {}
-
-        def big():
-            yield from net.transmit(src, dst, 10_000_000)
-            done["big"] = dep.sim.now
-
-        def small():
-            yield dep.sim.timeout(0.001)   # join the egress queue second
-            yield from net.transmit(src, dst, 1000)
-            done["small"] = dep.sim.now
-        dep.sim.process(big(), name="big")
-        dep.sim.process(small(), name="small")
-        dep.sim.run(until=dep.sim.now + 5.0)
-        # Without chunking the small transfer would wait out the whole
-        # 10 MB reservation; with it, it slips between chunks.
-        assert done["small"] < done["big"]
 
 
 class TestNetworkDynamicsPruning:

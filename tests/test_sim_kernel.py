@@ -269,10 +269,6 @@ class TestDeterminism:
         sim.timeout(4.0)
         assert sim.peek() == 4.0
 
-    def test_step_empty_raises(self, sim):
-        with pytest.raises(SimulationError):
-            sim.step()
-
 
 class TestFastPath:
     """Behavior pinned for the run-queue/deferred-resume fast path."""
