@@ -7,7 +7,6 @@ t2.micro-class hosts, and clients wherever the experiment places them.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 from dataclasses import dataclass, field
 from typing import Generator, Iterable, Optional, Sequence
@@ -15,8 +14,7 @@ from typing import Generator, Iterable, Optional, Sequence
 from repro.autoscale.controller import Autoscaler
 from repro.autoscale.signals import SignalReader
 from repro.core.client import WieraClient
-from repro.core.global_policy import (AutoscaleSpec, GlobalPolicySpec,
-                                      RedundancySpec)
+from repro.core.global_policy import AutoscaleSpec, GlobalPolicySpec
 from repro.faults.retry import RetryPolicy
 from repro.faults.schedule import FaultSchedule
 from repro.core.wiera import WieraService
@@ -58,9 +56,6 @@ class Deployment:
     autoscale: Optional[AutoscaleSpec] = None
     #: running controllers by namespace (base wiera id)
     autoscalers: dict = field(default_factory=dict)
-    #: default redundancy spec applied to specs that don't set their own
-    #: (None = no EC plane, bit-identical to pre-EC builds)
-    redundancy: Optional[RedundancySpec] = None
     #: intended execution parallelism recorded by build_deployment
     #: (``workers=N``); construction itself is identical for any value —
     #: repro.par reads it as the default worker count when the deployment
@@ -75,14 +70,8 @@ class Deployment:
         """Run a coroutine to completion (background processes keep going)."""
         return drive(self.sim, gen, name=name)
 
-    def _apply_redundancy(self, spec: GlobalPolicySpec) -> GlobalPolicySpec:
-        if self.redundancy is None or spec.redundancy is not None:
-            return spec
-        return dataclasses.replace(spec, redundancy=self.redundancy)
-
     def start_wiera_instance(self, wiera_id: str,
                              spec: GlobalPolicySpec) -> list[dict]:
-        spec = self._apply_redundancy(spec)
         return self.drive(self.wiera.start_instances(wiera_id, spec),
                           name=f"start:{wiera_id}")
 
@@ -106,7 +95,6 @@ class Deployment:
         needs a manager to actuate; with no spec anywhere (the default)
         nothing changes.
         """
-        spec = self._apply_redundancy(spec)
         sharding = spec.sharding
         n = sharding.shards if sharding is not None else self.shards
         vnodes = sharding.vnodes if sharding is not None else DEFAULT_VNODES
@@ -316,7 +304,6 @@ def build_deployment(regions: Sequence[str],
                      shards: int = 1,
                      servers_per_region: int = 1,
                      autoscale: Optional[AutoscaleSpec] = None,
-                     redundancy: Optional[RedundancySpec] = None,
                      workers: int = 1,
                      ) -> Deployment:
     """Stand up Wiera + one Tiera server per (region, provider).
@@ -338,10 +325,6 @@ def build_deployment(regions: Sequence[str],
     ``autoscale`` sets the default :class:`~repro.core.global_policy.
     AutoscaleSpec` attached by :meth:`Deployment.start_sharded_instance`;
     None (the default) builds no controller and keeps runs bit-identical.
-    ``redundancy`` sets the default :class:`~repro.core.global_policy.
-    RedundancySpec` applied to started specs that don't carry their own
-    (the erasure-coded plane, repro.ec); None (the default) constructs
-    nothing and keeps runs bit-identical.
     ``workers`` records the intended execution parallelism for
     :func:`repro.par.run_parallel` (region groups, one Simulator per
     worker process).  Construction never depends on it — a ``workers=N``
@@ -366,8 +349,8 @@ def build_deployment(regions: Sequence[str],
                          heartbeat_interval=heartbeat_interval)
     dep = Deployment(sim=sim, network=network, rng=rng, wiera=wiera,
                      ledger=ledger, obs=obs, shards=shards,
-                     autoscale=autoscale, redundancy=redundancy,
-                     workers=workers, regions=tuple(regions))
+                     autoscale=autoscale, workers=workers,
+                     regions=tuple(regions))
     if servers_per_region < 1:
         raise ValueError(f"servers_per_region must be >= 1: "
                          f"{servers_per_region}")

@@ -34,14 +34,6 @@ class GlobalProtocol:
 
     name = "abstract"
 
-    #: per-peer replication batching threshold in payload bytes.  0 (the
-    #: default) disables the batch data plane entirely — every replica
-    #: update is its own RPC, bit-identical to the pre-batching code.  Any
-    #: positive value routes replica traffic through ``call_batch`` /
-    #: ``send_oneway_batch`` and makes replication queues flush early once
-    #: their pending payload exceeds it (the adaptive size trigger).
-    batch_bytes: float = 0.0
-
     def attach(self, instance) -> None:
         """Called when this protocol becomes active on ``instance``."""
 
@@ -117,22 +109,7 @@ class GlobalProtocol:
 
         A peer that is down/partitioned raises — MultiPrimaries treats that
         as a failed put (strong consistency cannot silently lose a replica).
-        On the batch data plane a per-entry application failure raises too:
-        synchronous broadcast has no requeue machinery to hand it to.
         """
-        if self.batch_bytes > 0:
-            calls = [instance.node.call_batch(peer.node,
-                                              [(method, args, size)])
-                     for peer in instance.peers.values()]
-            if calls:
-                replies = yield instance.sim.all_of(calls)
-                for results in replies:
-                    for res in results:
-                        if not res.get("ok"):
-                            raise ProtocolError(
-                                f"batched {method} failed at peer: "
-                                f"{res.get('error')}")
-            return
         calls = [instance.node.call(peer.node, method, args, size=size)
                  for peer in instance.peers.values()]
         if calls:
@@ -140,11 +117,6 @@ class GlobalProtocol:
 
     def broadcast_async(self, instance, method: str, args: dict,
                         size: int) -> None:
-        if self.batch_bytes > 0:
-            for peer in instance.peers.values():
-                instance.node.send_oneway_batch(peer.node,
-                                                [(method, args, size)])
-            return
         for peer in instance.peers.values():
             instance.node.send_oneway(peer.node, method, args, size=size)
 
@@ -189,28 +161,14 @@ class ReplicationQueue:
     rounds.  Entries that exhaust ``retry_policy.max_attempts`` rounds are
     abandoned to anti-entropy repair; the (peer, key) divergence stays in
     ``outstanding_failures`` until something delivers the key.
-
-    With ``batch_bytes > 0`` the queue uses the batch data plane: a flush
-    groups pending + due-retry entries *by peer* and ships one
-    ``call_batch`` per peer (one envelope, one egress reservation, one
-    process) instead of one RPC per (key, peer).  Per-entry outcomes feed
-    the same requeue/backoff/outstanding machinery — a poisoned entry
-    requeues alone, a transport failure requeues the whole batch.  The
-    queue also flushes *early* whenever the pending payload exceeds
-    ``batch_bytes`` (the group-commit size trigger), bounding staleness
-    under write bursts without shrinking the quiet-time flush interval.
     """
 
     def __init__(self, instance, interval: float,
-                 retry_policy: Optional[RetryPolicy] = None,
-                 batch_bytes: float = 0.0):
+                 retry_policy: Optional[RetryPolicy] = None):
         self.instance = instance
         self.interval = interval
         self.retry_policy = retry_policy or RetryPolicy()
-        self.batch_bytes = batch_bytes
         self.pending: OrderedDict[str, dict] = OrderedDict()
-        self._pending_bytes = 0
-        self._kick = None   # size-trigger event armed by the flush loop
         self._backlog: dict[str, OrderedDict[str, dict]] = {}
         self._attempts: dict[str, int] = {}      # peer -> failed rounds
         self._retry_at: dict[str, float] = {}    # peer -> next-eligible time
@@ -224,7 +182,6 @@ class ReplicationQueue:
         self.retries = 0
         self.repaired = 0
         self.abandoned = 0
-        self.batches = 0
         metrics = get_obs(instance.sim).metrics
         labels = {"instance": instance.instance_id}
         self._m_failures = metrics.counter("replication.send_failures",
@@ -234,9 +191,6 @@ class ReplicationQueue:
         self._m_abandoned = metrics.counter("replication.abandoned", **labels)
         self._m_dropped = metrics.counter("replication.pending_dropped",
                                           **labels)
-        self._m_batches = metrics.counter("replication.batches", **labels)
-        self._h_batch_entries = metrics.histogram("replication.batch_entries",
-                                                  **labels)
 
     # -- lifecycle ------------------------------------------------------------
     def start(self) -> None:
@@ -282,10 +236,8 @@ class ReplicationQueue:
             self.coalesced += 1
             if not _supersedes(args, current):
                 return
-            self._pending_bytes -= _entry_size(current)
         self.pending[key] = args
         self.pending.move_to_end(key)
-        self._pending_bytes += _entry_size(args)
         # A fresh update ships to every peer on the next flush, making any
         # older backlogged copy of the key redundant.
         for peer_id in list(self._backlog):
@@ -294,12 +246,6 @@ class ReplicationQueue:
                 self._backlog[peer_id].pop(key)
                 if not self._backlog[peer_id]:
                     self._backlog.pop(peer_id)
-        # Adaptive size trigger: a pending payload past the batch budget
-        # flushes now rather than waiting out the timer (group commit).
-        if (self.batch_bytes > 0
-                and self._pending_bytes >= self.batch_bytes
-                and self._kick is not None and not self._kick.triggered):
-            self._kick.succeed()
 
     def _requeue(self, peer_id: str, args: dict) -> None:
         """Put a failed send back for retry, never burying a newer entry."""
@@ -320,22 +266,8 @@ class ReplicationQueue:
         sim = self.instance.sim
         try:
             while True:
-                if self.batch_bytes > 0:
-                    # Race the flush timer against the size trigger armed
-                    # in enqueue(); whichever fires first flushes.
-                    self._kick = sim.event()
-                    if self._pending_bytes >= self.batch_bytes:
-                        # Enqueues that landed while the loop was flushing
-                        # (kick unarmed) already crossed the threshold.
-                        self._kick.succeed()
-                    timer = sim.timeout(self.interval)
-                    yield sim.any_of([timer, self._kick])
-                    self._kick = None
-                    timer.cancel()   # no-op if the timer won the race
-                    yield from self.flush()
-                else:
-                    yield sim.timeout(self.interval)
-                    yield from self.flush()
+                yield sim.timeout(self.interval)
+                yield from self.flush()
         except Interrupt:
             return
 
@@ -354,14 +286,10 @@ class ReplicationQueue:
     def flush(self) -> Generator:
         """Ship pending updates plus due retries, in parallel per peer."""
         self._reap_departed_peers()
-        if self.batch_bytes > 0:
-            yield from self._flush_batched()
-            return
         instance = self.instance
         now = instance.sim.now
         batch = list(self.pending.values())
         self.pending.clear()
-        self._pending_bytes = 0
         if batch:
             self.flushes += 1
         calls = []  # (call, peer_id, args, is_retry)
@@ -407,77 +335,6 @@ class ReplicationQueue:
                 healthy_peers.add(peer_id)
                 self.mark_delivered(peer_id, args["key"])
         self._schedule_retries(failed_peers, healthy_peers, now)
-
-    def _flush_batched(self) -> Generator:
-        """Batched flush: group pending + due retries by peer, one batch
-        RPC per peer, per-entry outcomes into the retry machinery."""
-        instance = self.instance
-        now = instance.sim.now
-        batch = list(self.pending.values())
-        self.pending.clear()
-        self._pending_bytes = 0
-        if batch:
-            self.flushes += 1
-        # (args, is_retry) per peer, pending first then that peer's due
-        # retries — the destination applies them in this order.
-        per_peer: dict[str, list[tuple[dict, bool]]] = {}
-        if batch:
-            for peer_id in instance.peers:
-                per_peer[peer_id] = [(args, False) for args in batch]
-        for peer_id in list(self._backlog):
-            if now < self._retry_at.get(peer_id, 0.0):
-                continue
-            if peer_id not in instance.peers:
-                continue  # peer left the table; repair owns it now
-            entries = list(self._backlog.pop(peer_id).values())
-            bucket = per_peer.setdefault(peer_id, [])
-            for args in entries:
-                bucket.append((args, True))
-                self.retries += 1
-                self._m_retries.inc()
-        calls = []  # (call, peer_id, entries)
-        for peer_id, entries in per_peer.items():
-            peer = instance.peers[peer_id]
-            wire = [(_entry_method(args), args, _entry_size(args))
-                    for args, _ in entries]
-            call = instance.node.call_batch(peer.node, wire)
-            # Pre-defuse: the transport may fail before we yield on it.
-            call.defuse()
-            calls.append((call, peer_id, entries))
-            self.batches += 1
-            self._m_batches.inc()
-            self._h_batch_entries.observe(len(entries))
-            self.updates_sent += len(entries)
-        failed_peers: set[str] = set()
-        healthy_peers: set[str] = set()
-        for call, peer_id, entries in calls:
-            try:
-                results = yield call
-            except Exception:
-                # Transport failure (crash/partition mid-batch): nothing
-                # was acknowledged, so every entry is outstanding.
-                for args, is_retry in entries:
-                    self._note_entry_failure(peer_id, args, is_retry)
-                failed_peers.add(peer_id)
-            else:
-                healthy_peers.add(peer_id)
-                for (args, is_retry), res in zip(entries, results):
-                    if res.get("ok"):
-                        self.mark_delivered(peer_id, args["key"])
-                    else:
-                        # Poisoned entry: the batch landed but this entry
-                        # was rejected — requeue it alone.
-                        self._note_entry_failure(peer_id, args, is_retry)
-                        failed_peers.add(peer_id)
-        self._schedule_retries(failed_peers, healthy_peers, now)
-
-    def _note_entry_failure(self, peer_id: str, args: dict,
-                            is_retry: bool) -> None:
-        if not is_retry:
-            self.send_failures += 1
-            self._m_failures.inc()
-        self._outstanding.add((peer_id, args["key"]))
-        self._requeue(peer_id, args)
 
     def _schedule_retries(self, failed_peers: set, healthy_peers: set,
                           now: float) -> None:

@@ -28,12 +28,10 @@ class EventualConsistencyProtocol(GlobalProtocol):
 
     def __init__(self, queue_interval: float = 1.0,
                  repair_interval: Optional[float] = None,
-                 retry_policy: Optional[RetryPolicy] = None,
-                 batch_bytes: float = 0.0):
+                 retry_policy: Optional[RetryPolicy] = None):
         self.queue_interval = queue_interval
         self.repair_interval = repair_interval
         self.retry_policy = retry_policy or RetryPolicy()
-        self.batch_bytes = batch_bytes
         self._queues: dict[str, ReplicationQueue] = {}
         self._repairers: dict[str, AntiEntropyRepairer] = {}
 
@@ -42,8 +40,7 @@ class EventualConsistencyProtocol(GlobalProtocol):
         if self.repair_interval is not None:
             repairer = AntiEntropyRepairer(
                 instance, self.repair_interval,
-                queue_for=lambda inst: self._queues.get(inst.instance_id),
-                batch_bytes=self.batch_bytes)
+                queue_for=lambda inst: self._queues.get(inst.instance_id))
             self._repairers[instance.instance_id] = repairer
             repairer.start()
 
@@ -59,8 +56,7 @@ class EventualConsistencyProtocol(GlobalProtocol):
         queue = self._queues.get(instance.instance_id)
         if queue is None:
             queue = ReplicationQueue(instance, self.queue_interval,
-                                     retry_policy=self.retry_policy,
-                                     batch_bytes=self.batch_bytes)
+                                     retry_policy=self.retry_policy)
             self._queues[instance.instance_id] = queue
             queue.start()
         return queue

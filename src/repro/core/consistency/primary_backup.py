@@ -38,7 +38,6 @@ class PrimaryBackupConfig:
     queue_interval: float = 1.0       # flush period for async mode
     get_from: Optional[str] = None    # None=local; "primary"; or instance id
     repair_interval: Optional[float] = None  # anti-entropy period (off=None)
-    batch_bytes: float = 0.0          # batch data plane threshold (0 = off)
     history: list = field(default_factory=list)  # (time, primary_id)
 
 
@@ -56,12 +55,6 @@ class PrimaryBackupProtocol(GlobalProtocol):
         self._queues: dict[str, ReplicationQueue] = {}
         self._repairers: dict[str, AntiEntropyRepairer] = {}
 
-    @property
-    def batch_bytes(self) -> float:
-        # Read through to the shared config so the batch plane follows any
-        # runtime reconfiguration the same way primary changes do.
-        return self.config.batch_bytes
-
     # -- lifecycle -----------------------------------------------------------
     def attach(self, instance) -> None:
         if not self.config.sync_replication:
@@ -72,8 +65,7 @@ class PrimaryBackupProtocol(GlobalProtocol):
             repairer = AntiEntropyRepairer(
                 instance, self.config.repair_interval,
                 queue_for=lambda inst: self._queues.get(inst.instance_id),
-                should_push=self.is_primary,
-                batch_bytes=self.config.batch_bytes)
+                should_push=self.is_primary)
             self._repairers[instance.instance_id] = repairer
             repairer.start()
 
@@ -89,8 +81,7 @@ class PrimaryBackupProtocol(GlobalProtocol):
         queue = self._queues.get(instance.instance_id)
         if queue is None:
             queue = ReplicationQueue(instance, self.config.queue_interval,
-                                     retry_policy=self.retry_policy,
-                                     batch_bytes=self.config.batch_bytes)
+                                     retry_policy=self.retry_policy)
             self._queues[instance.instance_id] = queue
             queue.start()
         return queue

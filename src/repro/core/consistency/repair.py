@@ -27,8 +27,7 @@ class AntiEntropyRepairer:
 
     def __init__(self, instance, interval: float,
                  queue_for: Optional[Callable] = None,
-                 should_push: Optional[Callable] = None,
-                 batch_bytes: float = 0.0):
+                 should_push: Optional[Callable] = None):
         self.instance = instance
         self.interval = interval
         # Hook back to the protocol's replication queue so a successful
@@ -37,13 +36,9 @@ class AntiEntropyRepairer:
         # Gate for asymmetric protocols (PrimaryBackup: only the primary
         # originates updates, so only it pushes repairs).
         self._should_push = should_push
-        #: when positive, stale keys for a peer are pushed as size-bounded
-        #: ``call_batch`` messages instead of one RPC per key (0 = off)
-        self.batch_bytes = batch_bytes
         self._proc = None
         self.rounds = 0
         self.keys_pushed = 0
-        self.batches = 0
         metrics = get_obs(instance.sim).metrics
         labels = {"instance": instance.instance_id}
         self._m_rounds = metrics.counter("repair.rounds", **labels)
@@ -85,7 +80,6 @@ class AntiEntropyRepairer:
 
     def _push_stale(self, peer_id: str, peer, theirs: dict) -> Generator:
         instance = self.instance
-        stale: list[dict] = []
         for record in list(instance.meta.records()):
             meta = record.latest()
             if meta is None:
@@ -103,9 +97,6 @@ class AntiEntropyRepairer:
                                                         meta.version)
             except Exception:
                 continue  # lost locally between digest and read
-            if self.batch_bytes > 0:
-                stale.append(args)
-                continue
             try:
                 yield instance.node.call(peer.node, "replica_update", args,
                                          size=len(args["data"]) + 512)
@@ -114,36 +105,6 @@ class AntiEntropyRepairer:
             self.keys_pushed += 1
             self._m_pushed.inc()
             self._mark_delivered(peer_id, record.key)
-        if stale:
-            yield from self._push_batched(peer_id, peer, stale)
-
-    def _push_batched(self, peer_id: str, peer,
-                      stale: list[dict]) -> Generator:
-        """Ship stale keys in size-bounded batches; ack per entry."""
-        instance = self.instance
-        batch: list[tuple[str, dict, int]] = []
-        batch_size = 0
-        batches = [batch]
-        for args in stale:
-            size = len(args["data"]) + 512
-            if batch and batch_size + size > self.batch_bytes:
-                batch = []
-                batch_size = 0
-                batches.append(batch)
-            batch.append(("replica_update", args, size))
-            batch_size += size
-        for entries in batches:
-            try:
-                results = yield instance.node.call_batch(peer.node, entries)
-            except Exception:
-                continue  # transport failure: whole batch retries next round
-            self.batches += 1
-            for (_method, args, _size), res in zip(entries, results):
-                if not res.get("ok"):
-                    continue  # entry failed at the peer; retry next round
-                self.keys_pushed += 1
-                self._m_pushed.inc()
-                self._mark_delivered(peer_id, args["key"])
 
     def _mark_delivered(self, peer_id: str, key: str) -> None:
         if self._queue_for is not None:

@@ -273,11 +273,6 @@ class GlobalPolicySpec:
     #: anti-entropy digest-exchange period; None disables repair entirely
     #: (the default, so fault-free runs are bit-identical with or without it)
     repair_interval: Optional[float] = None
-    #: batched data plane: ship replication traffic to each peer as one
-    #: batch RPC per flush, and flush early once this many bytes are
-    #: pending.  0 (the default) disables batching entirely — every code
-    #: path is bit-identical to the unbatched plane.
-    batch_bytes: float = 0.0
     #: keyspace partitioning; None/shards=1 -> one classic instance
     sharding: Optional[ShardSpec] = None
     #: closed-loop elasticity (repro.autoscale); None (the default) builds
@@ -306,9 +301,6 @@ class GlobalPolicySpec:
         if self.consistency not in ("multi_primaries", "primary_backup",
                                     "eventual", "local"):
             raise ValueError(f"unknown consistency {self.consistency!r}")
-        if self.batch_bytes < 0:
-            raise ValueError(
-                f"batch_bytes must be >= 0: {self.batch_bytes}")
         if self.redundancy is not None:
             r = self.redundancy
             if self.consistency == "primary_backup":

@@ -196,7 +196,7 @@ class TieraInstanceManager:
                 return self.protocol
             return ECProtocol(spec.redundancy)
         if name == "multi_primaries":
-            return MultiPrimariesProtocol(batch_bytes=spec.batch_bytes)
+            return MultiPrimariesProtocol()
         if name == "primary_backup":
             existing = getattr(self.protocol, "config", None)
             primary_id = (existing.primary_id if existing is not None
@@ -206,14 +206,12 @@ class TieraInstanceManager:
                 sync_replication=spec.sync_replication,
                 queue_interval=spec.queue_interval,
                 get_from=self._resolve_instance_id(spec.get_from),
-                repair_interval=spec.repair_interval,
-                batch_bytes=spec.batch_bytes)
+                repair_interval=spec.repair_interval)
             config.history.append((self.sim.now, primary_id))
             return PrimaryBackupProtocol(config)
         if name == "eventual":
             return EventualConsistencyProtocol(
-                spec.queue_interval, repair_interval=spec.repair_interval,
-                batch_bytes=spec.batch_bytes)
+                spec.queue_interval, repair_interval=spec.repair_interval)
         if name == "local":
             return LocalOnlyProtocol()
         raise WieraInstanceError(f"unknown protocol {name!r}")

@@ -16,7 +16,7 @@ serves both redundancy shapes and the
 :class:`~repro.ec.optimizer.RedundancyOptimizer` can move objects between
 them per key-class.
 
-Fan-out rides the PR-5 batch data plane (``call_batch``): one envelope
+Fan-out rides the RPC batch wire format (``call_batch``): one envelope
 per holder carrying that holder's fragment, then one manifest entry per
 peer.  A put is acknowledged once at least ``min(n, k + 1)`` fragments
 landed — enough to both read the object and survive one more fault —

@@ -28,7 +28,7 @@ divergence is limited to error-return timing under faults (documented
 in DESIGN.md).
 
 Wire entries are plain picklable tuples batched per destination worker
-per barrier — the multiprocessing analog of the PR 5 ``call_batch``
+per barrier — the multiprocessing analog of the RPC ``call_batch``
 framing: one pickled list per (worker, window), never one IPC message
 per call.
 """

@@ -246,8 +246,7 @@ class Rebalancer:
             try:
                 result = yield self.node.call(
                     src_rec.node, "ctl_migrate_keys",
-                    {"keys": sorted(stale), "dest": (dest_node,),
-                     "batch_bytes": self.manager.spec.batch_bytes})
+                    {"keys": sorted(stale), "dest": (dest_node,)})
             except TRANSIENT_ERRORS:
                 return len(stale)
             self.moved_keys.update(result["moved"])

@@ -962,9 +962,7 @@ class TieraInstance:
         node (shard-rebalance bulk copy; bytes flow instance→instance,
         Wiera stays off the data path).  Returns which keys landed."""
         dests = msg.args["dest"]
-        batch_bytes = msg.args.get("batch_bytes", 0.0)
         moved, failed = [], []
-        payload: list[tuple[str, dict, int]] = []
         for key in msg.args["keys"]:
             record = self.meta.get_record(key)
             meta = record.latest() if record is not None else None
@@ -976,9 +974,6 @@ class TieraInstance:
             except ObjectMissingError:
                 moved.append(key)
                 continue
-            if batch_bytes > 0:
-                payload.append((key, args, len(args["data"]) + 512))
-                continue
             delivered = True
             for node in dests:
                 try:
@@ -987,43 +982,8 @@ class TieraInstance:
                 except Exception:
                     delivered = False
             (moved if delivered else failed).append(key)
-        if payload:
-            undelivered = yield from self._migrate_batched(
-                dests, payload, batch_bytes)
-            for key, _args, _size in payload:
-                (failed if key in undelivered else moved).append(key)
         return {"moved": moved, "failed": failed,
                 "instance": self.instance_id}
-
-    def _migrate_batched(self, dests, payload: list,
-                         batch_bytes: float) -> Generator:
-        """Bulk-copy path: one size-bounded batch RPC per destination
-        instead of one RPC per (key, dest).  Returns the keys that failed
-        to land on at least one destination; per-entry batch results keep
-        partial failure attributable to individual keys."""
-        undelivered: set[str] = set()
-        batch: list[tuple[str, dict, int]] = []
-        batch_keys: list[str] = []
-        batch_size = 0
-        batches: list[tuple[list, list]] = [(batch, batch_keys)]
-        for key, args, size in payload:
-            if batch and batch_size + size > batch_bytes:
-                batch, batch_keys, batch_size = [], [], 0
-                batches.append((batch, batch_keys))
-            batch.append(("replica_update", args, size))
-            batch_keys.append(key)
-            batch_size += size
-        for node in dests:
-            for entries, keys in batches:
-                try:
-                    results = yield self.node.call_batch(node, entries)
-                except Exception:
-                    undelivered.update(keys)   # transport: whole batch lost
-                    continue
-                for key, res in zip(keys, results):
-                    if not res.get("ok"):
-                        undelivered.add(key)
-        return undelivered
 
     def rpc_ctl_purge_misowned(self, msg: Message) -> Generator:
         """Drop local copies of keys the (new) shard guard assigns

@@ -183,6 +183,8 @@ class YcsbClient:
             started = self.sim.now
             try:
                 result = yield from self.client.get(key)
+            except Interrupt:
+                raise   # stop() landed mid-op: end the driver
             except Exception as exc:
                 self.stats.note_error(exc)
                 return
@@ -195,6 +197,8 @@ class YcsbClient:
             value = self.workload.value(self.rng)
             try:
                 result = yield from self.client.put(key, value)
+            except Interrupt:
+                raise
             except Exception as exc:
                 self.stats.note_error(exc)
                 return

@@ -1,5 +1,6 @@
 """Consistency semantics under partial failure."""
 
+import pytest
 
 from repro import GlobalPolicySpec, RegionPlacement, build_deployment
 from repro.net import EU_WEST, US_EAST, US_WEST
@@ -36,6 +37,25 @@ class TestMultiPrimariesUnderFailure:
             return "acked"
         outcome = dep.drive(app())
         assert outcome != "acked"
+
+    def test_broadcast_raises_when_a_peer_rejects_the_update(self):
+        dep, _ = deploy("multi_primaries")
+        east = dep.instance("cf", US_EAST)
+        eu = dep.instance("cf", EU_WEST)
+
+        def reject(msg):
+            raise RuntimeError("rejected")
+            yield  # pragma: no cover
+        eu.node._handlers["replica_update"] = reject
+        update = {"key": "k", "version": 1, "last_modified": 0.0,
+                  "origin": east.instance_id, "data": b"v"}
+
+        def go():
+            yield from east.protocol.broadcast_sync(
+                east, "replica_update", update, size=513)
+        with pytest.raises(RuntimeError, match="rejected"):
+            dep.drive(go())
+        assert dep.instance("cf", US_WEST).meta.get_record("k") is not None
 
     def test_lock_released_after_failed_put(self):
         """A failed broadcast must not wedge the key's global lock."""

@@ -65,14 +65,13 @@ class TestRedundancyNoneBitIdentical:
         None and a run without the kwarg are event-for-event identical."""
         def one(explicit_none):
             regions = REGIONS[:2]
-            build_kwargs = {"redundancy": None} if explicit_none else {}
-            dep = build_deployment(list(regions), seed=7, **build_kwargs)
+            spec_kwargs = {"redundancy": None} if explicit_none else {}
+            dep = build_deployment(list(regions), seed=7)
             spec = GlobalPolicySpec(
                 name="ec",
                 placements=tuple(RegionPlacement(r, memory_only_policy())
                                  for r in regions),
-                consistency="eventual",
-                redundancy=None)
+                consistency="eventual", **spec_kwargs)
             instances = dep.start_wiera_instance("ec", spec)
             client = dep.add_client(US_EAST, instances=instances)
 

@@ -176,6 +176,32 @@ class TestDynamics:
         assert transfer(sim, net, a, b, 10) > 0
 
 
+class TestNetworkDynamicsPruning:
+    def test_expired_host_injection_is_pruned(self, sim, net):
+        a = net.add_host("a", US_EAST)
+        net.inject_host_delay("a", 0.1, duration=5.0)
+        assert net.injected_extra(a, a) > 0
+        sim.run(until=sim.now + 6.0)
+        assert net.injected_extra(a, a) == 0.0
+        assert "a" not in net._host_injections
+
+    def test_expired_pair_injection_is_pruned(self, sim, net):
+        a = net.add_host("a", US_EAST)
+        b = net.add_host("b", US_WEST)
+        net.inject_pair_delay(US_EAST, US_WEST, 0.2, duration=5.0)
+        assert net.injected_extra(a, b) == pytest.approx(0.2)
+        sim.run(until=sim.now + 6.0)
+        assert net.injected_extra(a, b) == 0.0
+        assert frozenset((US_EAST, US_WEST)) not in net._pair_injections
+
+    def test_elapsed_partition_is_reaped(self, sim, net):
+        net.partition(US_EAST, US_WEST, duration=2.0)
+        assert net.is_partitioned(US_EAST, US_WEST)
+        sim.run(until=sim.now + 3.0)
+        assert not net.is_partitioned(US_EAST, US_WEST)
+        assert frozenset((US_EAST, US_WEST)) not in net._partitions
+
+
 class TestVmProfiles:
     def test_all_profiles_valid(self):
         for name, profile in VM_PROFILES.items():

@@ -182,6 +182,51 @@ class TestRetryBacklog:
         assert queue.outstanding_failures == 0
         assert queue.repaired == 1
 
+    def test_rejected_key_requeues_alone(self, world):
+        dep, _ = world
+        east = dep.instance("q", US_EAST)
+        eu = dep.instance("q", EU_WEST)
+        accept = eu.node._handlers["replica_update"]
+
+        def reject_bad(msg):
+            if msg.args["key"] == "bad":
+                raise RuntimeError("rejected")
+            result = yield from accept(msg)
+            return result
+        eu.node._handlers["replica_update"] = reject_bad
+        queue = ReplicationQueue(east, interval=1000.0)
+        queue.enqueue(make_update(east, dep, "good", b"g"))
+        queue.enqueue(make_update(east, dep, "bad", b"b"))
+
+        def flush():
+            yield from queue.flush()
+        dep.drive(flush())
+        # Only the rejected (peer, key) delivery is requeued.
+        assert eu.meta.get_record("good") is not None
+        assert eu.meta.get_record("bad") is None
+        assert queue.backlog_size() == 1
+        assert queue.send_failures == 1
+        assert queue._outstanding == {(eu.instance_id, "bad")}
+        assert dep.instance("q", US_WEST).meta.get_record("bad") is not None
+
+    def test_reap_forgets_departed_peer_retry_state(self, world):
+        dep, _ = world
+        east = dep.instance("q", US_EAST)
+        west_id = dep.instance("q", US_WEST).instance_id
+        queue = ReplicationQueue(east, interval=1000.0)
+        queue._attempts["ghost"] = 3
+        queue._retry_at["ghost"] = 99.0
+        queue._attempts[west_id] = 1
+        queue._retry_at[west_id] = dep.sim.now + 60.0
+
+        def flush():
+            yield from queue.flush()
+        dep.drive(flush())
+        # The departed peer's bookkeeping is gone; a live peer's remains.
+        assert "ghost" not in queue._attempts
+        assert "ghost" not in queue._retry_at
+        assert queue._attempts[west_id] == 1
+
     def test_stop_surfaces_dropped_entries(self, world):
         dep, _ = world
         from repro.obs.api import get_obs

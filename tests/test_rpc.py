@@ -211,3 +211,62 @@ def test_requests_served_counter(world):
     p = sim.process(main())
     sim.run(until=p)
     assert b.requests_served == 3
+
+
+class TestBatchRpc:
+    """``call_batch``: the one-message wire format the EC plane uses."""
+
+    @staticmethod
+    def _recorder(sim, node):
+        applied = []
+
+        def apply(msg):
+            yield sim.timeout(0.0)
+            applied.append(msg.args["i"])
+            return {"i": msg.args["i"]}
+
+        node.register("apply", apply)
+        return applied
+
+    def test_per_entry_results_in_order(self, world):
+        sim, net, a, b = world
+        applied = self._recorder(sim, b)
+        entries = [("apply", {"i": 1}, 16),
+                   ("no_such_method", {}, 16),
+                   ("apply", {"i": 2}, 16)]
+
+        def main():
+            results = yield a.call_batch(b, entries)
+            return results
+
+        results = sim.run(until=sim.process(main()))
+        assert [r["ok"] for r in results] == [True, False, True]
+        assert "NoSuchMethodError" in results[1]["error"]
+        assert [r["result"]["i"] for r in results if r["ok"]] == [1, 2]
+        # Entries are applied in order; a failed one does not abort the rest.
+        assert applied == [1, 2]
+
+    def test_batch_is_one_message_pair(self, world):
+        sim, net, a, b = world
+        self._recorder(sim, b)
+        entries = [("apply", {"i": i}, 514) for i in range(3)]
+        before = net.messages_sent
+
+        def main():
+            yield a.call_batch(b, entries)
+
+        sim.run(until=sim.process(main()))
+        # One request + one reply, regardless of entry count.
+        assert net.messages_sent - before == 2
+
+    def test_transport_failure_raises_whole_call(self, world):
+        sim, net, a, b = world
+        applied = self._recorder(sim, b)
+        b.host.down = True
+
+        def main():
+            yield a.call_batch(b, [("apply", {"i": 1}, 16)])
+
+        with pytest.raises(HostDownError):
+            sim.run(until=sim.process(main()))
+        assert applied == []

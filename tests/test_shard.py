@@ -296,6 +296,46 @@ class TestRebalance:
         dep.drive(verify())
 
 
+class TestMigrateKeys:
+    """``ctl_migrate_keys``: the rebalancer's instance-to-instance copy."""
+
+    def _world(self):
+        dep = build_deployment((US_EAST, US_WEST), seed=7)
+        spec = GlobalPolicySpec(
+            name="mk",
+            placements=tuple(RegionPlacement(r, memory_only_policy())
+                             for r in (US_EAST, US_WEST)),
+            consistency="eventual", queue_interval=1000.0)
+        dep.start_wiera_instance("mk", spec)
+        east, west = dep.instance("mk", US_EAST), dep.instance("mk", US_WEST)
+        for i in range(3):
+            dep.drive(east.local_put(f"k{i}", b"x" * 100))
+        return dep, east, west
+
+    def _migrate(self, dep, east, west):
+        def go():
+            result = yield east.node.call(
+                east.node, "ctl_migrate_keys",
+                {"keys": [f"k{i}" for i in range(3)], "dest": (west.node,)})
+            return result
+        return dep.drive(go())
+
+    def test_migrate_keys_copies_every_key(self):
+        dep, east, west = self._world()
+        result = self._migrate(dep, east, west)
+        assert sorted(result["moved"]) == ["k0", "k1", "k2"]
+        assert result["failed"] == []
+        for i in range(3):
+            assert west.meta.get_record(f"k{i}").latest_version == 1
+
+    def test_migrate_transport_failure_fails_those_keys(self):
+        dep, east, west = self._world()
+        west.host.down = True
+        result = self._migrate(dep, east, west)
+        assert result["moved"] == []
+        assert sorted(result["failed"]) == ["k0", "k1", "k2"]
+
+
 class TestShardsOneBitIdentical:
     REGIONS = (US_EAST, US_WEST)
 

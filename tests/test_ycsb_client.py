@@ -85,6 +85,27 @@ def test_errors_counted_not_fatal(world):
     assert yc.stats.updates > 0        # puts still succeed
 
 
+def test_stop_mid_op_ends_the_driver(world):
+    dep, client = world
+    workload = YcsbWorkload.workload_a(record_count=5, value_size=64)
+    yc = YcsbClient(dep.sim, client, workload, np.random.default_rng(5))
+
+    def load():
+        yield from yc.load()
+    dep.drive(load())
+    yc.start()
+    # No think time: the driver is always inside an op when stopped.
+    dep.sim.run(until=dep.sim.now + 2.0)
+    yc.stop()
+    dep.sim.run(until=dep.sim.now + 0.001)
+    ops = yc.stats.ops
+    assert ops > 0
+    assert not yc._proc.is_alive
+    dep.sim.run(until=dep.sim.now + 5.0)
+    assert yc.stats.ops == ops
+    assert "Interrupt" not in yc.stats.errors_by_type
+
+
 def test_oracle_integration(world):
     dep, client = world
     workload = YcsbWorkload.workload_a(record_count=5, value_size=64)
